@@ -27,29 +27,10 @@ test:
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./...
 
-# The fault-injection matrix (every algorithm x wait policy with an
-# injected straggler) lives in ./internal/faultinject; race already
-# covers it via ./..., but run it by name so a path filter or build-tag
-# mistake that silently drops the package fails loudly. The streaming
-# telemetry detectors (regime shift, change point, straggler
-# persistence) run by name for the same reason.
+# The race target runs every package's tests once — the fault-injection
+# matrix, the stream, phase, hierarchical, fabric and elastic suites
+# included — so check adds no name-filtered re-runs of its own.
 check: build vet fmt race
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 ./internal/faultinject/
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestStream|TestTimeline|TestRenderTimeline' ./obs/ ./cmd/barrierbench/
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestPhase|TestDrift|TestBucketOf|TestInstrumentPhases' ./barrier/ ./obs/
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestHier|TestCachedMemoizes|TestSearchHierGroupSizes|TestMeasureHierGroupSizes' \
-		./barrier/ ./model/ ./hostlat/ ./tune/
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		./fabric/ ./internal/pad/
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestFabric|TestDiffFabric' ./internal/faultinject/ ./cmd/benchdiff/ ./tune/
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestPhaser|TestElastic|TestSweep|TestChurnRegime|TestDiffElastic' \
-		./barrier/ ./sim/ ./omp/ ./fabric/ ./obs/ ./tune/ \
-		./internal/faultinject/ ./cmd/benchdiff/
 
 # One quick barrierbench run per wait policy: exercises every wait
 # discipline end to end (flag parsing through measurement) without the
@@ -82,16 +63,11 @@ timeline-smoke:
 		-algos optimized -threads 4 -episodes 2000 -repeats 1
 	$(GO) run ./examples/observed -once | tail -n 12
 
-# Hierarchical barrier smoke: the dedicated two-level suite under the
-# race detector at small P (group lines, representative tree, auto
-# group size, targeted parked-representative wake), then one plain
-# 1024-participant spinpark round through the CLI — the oversubscribed
-# regime the two-level design exists for, cheap because a single
-# measurement point is ~a second even at 1024 goroutines.
+# Hierarchical barrier smoke: one plain 1024-participant spinpark round
+# through the CLI — the oversubscribed regime the two-level design
+# exists for, cheap because a single measurement point is ~a second
+# even at 1024 goroutines. The two-level test suite runs in `race`.
 hier-smoke:
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestHier|TestSearchHierGroupSizes|TestMeasureHierGroupSizes' \
-		./barrier/ ./model/ ./tune/
 	$(GO) run ./cmd/barrierbench -algos hier,dtour -plist 1024 \
 		-episodes 50 -repeats 1 -wait spinpark
 
@@ -107,16 +83,12 @@ fabric-smoke:
 		-fabricepisodes 20
 	$(GO) run ./examples/fabricserver -once | tail -n 20
 
-# Elastic membership smoke: the phaser/fabric elastic suites under the
-# race detector (dynamic register/deregister, the sweep/arrive race
-# regression, membership-aware wedge attribution), then one quick
-# churn sweep through the CLI so the phaser-vs-central ratio line
-# prints. Episodes are sized so the 1000/s churner lands cycles inside
-# the timed window without the cost of the BENCH_pr10 acceptance sweep.
+# Elastic membership smoke: one quick churn sweep through the CLI so the
+# phaser-vs-central ratio line prints. Episodes are sized so the 1000/s
+# churner lands cycles inside the timed window without the cost of the
+# BENCH_pr10 acceptance sweep. The phaser and elastic test suites run
+# in `race`.
 elastic-smoke:
-	$(GO) test -race -timeout $(RACE_TIMEOUT) -count=1 \
-		-run 'TestPhaser|TestElastic|TestSweep|TestChurnRegime' \
-		./barrier/ ./sim/ ./omp/ ./fabric/ ./obs/ ./tune/ ./internal/faultinject/
 	$(GO) run ./cmd/barrierbench -elastic -threads 2,4 -churn 0,1000 \
 		-episodes 5000
 

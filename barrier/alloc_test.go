@@ -21,9 +21,6 @@ func TestWaitSteadyStateDoesNotAllocate(t *testing.T) {
 		NewDynamicFWay(4),
 		NewHyper(4),
 		New(4),
-		NewRing(4),
-		NewNWayDissemination(4, 2),
-		NewHybrid(4, HybridConfig{}),
 		NewHierarchical(4, HierarchicalConfig{GroupSize: 2}),
 	}
 	for _, b := range barriers {

@@ -33,7 +33,6 @@ package barrier
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -78,103 +77,22 @@ type paddedUint32 struct {
 // spinYieldEvery caps the exponential poll backoff: the pause between
 // polls doubles 1 → 2 → … → spinYieldEvery; once the cap is reached a
 // spin-yield waiter enters the scheduler between polls instead, so
-// oversubscribed configurations (P > GOMAXPROCS) still make progress.
+// oversubscribed configurations (P > GOMAXPROCS) still make progress
+// (see waitState.wait).
 const spinYieldEvery = 128
-
-// spinCount accumulates poll-loop statistics for one participant. The
-// fields are atomics only so a concurrent Snapshot can read them while
-// the owning participant keeps spinning; the participant is the sole
-// writer. Padded so neighbouring participants' counters never share a
-// line.
-type spinCount struct {
-	spins  atomic.Uint64
-	yields atomic.Uint64
-	_      [cacheLine - 16]byte
-}
-
-// spinUntilEq polls an atomic flag until it equals want — the
-// spin-yield wait discipline. A non-nil c receives the number of polls
-// and scheduler yields the wait took; the counters are touched once at
-// loop exit, so the nil (uninstrumented) path pays a single
-// predictable branch and no extra atomics.
-func spinUntilEq(f *atomic.Uint32, want uint32, c *spinCount) {
-	spins, yields := spinYieldLoop(f, want)
-	if c != nil {
-		c.spins.Add(spins)
-		c.yields.Add(yields)
-	}
-}
-
-// spinYieldLoop is the shared spin-then-yield poll loop: the pause
-// between polls backs off exponentially (1 → 2 → … → spinYieldEvery)
-// so an early arrival stays off the flag's cacheline, and once the
-// backoff is exhausted the waiter yields to the Go scheduler between
-// polls — far more responsive under oversubscription than the old
-// fixed yield-every-128-polls modulo.
-func spinYieldLoop(f *atomic.Uint32, want uint32) (spins, yields uint64) {
-	backoff := uint32(1)
-	for f.Load() != want {
-		spins++
-		if backoff < spinYieldEvery {
-			pause(backoff)
-			backoff <<= 1
-		} else {
-			yields++
-			runtime.Gosched()
-		}
-	}
-	return spins, yields
-}
 
 // SpinCounter is implemented by barriers that can count their waiters'
 // poll-loop iterations and scheduler yields per participant. Enable the
 // counters before any participant calls Wait; they stay off (and free)
 // otherwise.
 type SpinCounter interface {
-	// EnableSpinCounts allocates the per-participant counters and turns
-	// counting on. It is not safe to call concurrently with Wait.
+	// EnableSpinCounts turns counting on. It is not safe to call
+	// concurrently with Wait.
 	EnableSpinCounts()
 	// SpinCounts returns the cumulative poll iterations and scheduler
 	// yields participant id has spent waiting. Safe to call while the
 	// barrier is in use.
 	SpinCounts(id int) (spins, yields uint64)
-}
-
-// spinStats is the embeddable implementation of SpinCounter shared by
-// the spin barriers in this package. The zero value is "disabled";
-// constructors call initSpin(p) so EnableSpinCounts knows how many
-// slots to allocate.
-type spinStats struct {
-	spinP int
-	slots []spinCount
-}
-
-func (s *spinStats) initSpin(p int) { s.spinP = p }
-
-// EnableSpinCounts implements SpinCounter.
-func (s *spinStats) EnableSpinCounts() {
-	if s.slots == nil && s.spinP > 0 {
-		s.slots = make([]spinCount, s.spinP)
-	}
-}
-
-// SpinCounts implements SpinCounter.
-func (s *spinStats) SpinCounts(id int) (spins, yields uint64) {
-	if id < 0 || id >= s.spinP {
-		panic(fmt.Sprintf("barrier: SpinCounts participant %d outside [0,%d)", id, s.spinP))
-	}
-	if s.slots == nil {
-		return 0, 0
-	}
-	return s.slots[id].spins.Load(), s.slots[id].yields.Load()
-}
-
-// slot returns participant id's counter, or nil when counting is off.
-func (s *spinStats) slot(id int) *spinCount {
-	if s.slots == nil {
-		return nil
-	}
-	return &s.slots[id]
 }
 
 // checkID panics for an out-of-range participant, naming the barrier.

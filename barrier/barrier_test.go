@@ -40,16 +40,6 @@ func factories() map[string]func(p int) Barrier {
 		"optimized-kp920": func(p int) Barrier {
 			return NewOptimized(p, OptimizedConfig{Machine: topology.Kunpeng920()})
 		},
-		"channel": func(p int) Barrier { return NewChannel(p) },
-		"ndis2":   func(p int) Barrier { return NewNWayDissemination(p, 2) },
-		"ndis3":   func(p int) Barrier { return NewNWayDissemination(p, 3) },
-		"ring":    func(p int) Barrier { return NewRing(p) },
-		"hybrid": func(p int) Barrier {
-			return NewHybrid(p, HybridConfig{})
-		},
-		"hybrid-tx2": func(p int) Barrier {
-			return NewHybrid(p, HybridConfig{Machine: topology.ThunderX2()})
-		},
 		"hier": func(p int) Barrier {
 			return NewHierarchical(p, HierarchicalConfig{})
 		},

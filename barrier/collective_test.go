@@ -294,7 +294,6 @@ func TestCollectiveRootValidation(t *testing.T) {
 func TestFlatBarriersAreNotCollective(t *testing.T) {
 	for name, b := range map[string]Barrier{
 		"central":       NewCentral(4),
-		"channel":       NewChannel(4),
 		"dissemination": NewDissemination(4),
 		"mcs":           NewMCS(4),
 	} {

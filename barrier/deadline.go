@@ -17,24 +17,21 @@ package barrier
 // This is the same reason pthread_barrier_wait has no timed variant;
 // here the trade is made explicit and bounded.
 //
-// Implementation: WaitDeadline arms a per-participant deadline slot and
-// runs the ordinary Wait. Every wait site already funnels through
-// waitState.wait, which checks the slot — a plain load of an
-// owner-written padded cacheline, no new atomics — and switches to a
-// deadline-checking poll loop only when armed. Expiry unwinds the
-// algorithm's Wait with a private panic value that WaitDeadline
-// recovers into the returned error, so the tree algorithms need no
-// error plumbing through their arrival and wake-up phases.
+// Implementation: WaitDeadline arms the deadline field of the
+// participant's owner line (see waitpolicy.go) and runs the ordinary
+// Wait. Every wait site already funnels through waitState.wait, the
+// one poll loop, which reads the deadline — a plain load of the line
+// the wait touches anyway, no new atomics — and checks the clock only
+// when it is armed, parking with a timer where the policy parks.
+// Expiry unwinds the algorithm's Wait with a private panic value that
+// WaitDeadline recovers into the returned error, so the tree
+// algorithms need no error plumbing through their arrival and wake-up
+// phases.
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
-	"unsafe"
-
-	"armbarrier/internal/pad"
 )
 
 // ErrWaitTimeout matches any *TimeoutError via errors.Is.
@@ -62,8 +59,8 @@ func (e *TimeoutError) Error() string {
 // errors.Is without keeping the concrete type around.
 func (e *TimeoutError) Is(target error) bool { return target == ErrWaitTimeout }
 
-// DeadlineWaiter is a Barrier whose waits can be bounded. All spin
-// barriers in this package implement it, as does Channel.
+// DeadlineWaiter is a Barrier whose waits can be bounded. Every
+// barrier in this package implements it.
 type DeadlineWaiter interface {
 	Barrier
 	// WaitDeadline is Wait with a time budget: it returns nil once all
@@ -93,28 +90,19 @@ func monons() int64 { return int64(time.Since(epoch)) }
 // throws to unwind the algorithm's Wait; runDeadline recovers it.
 type timeoutSignal struct{ id int }
 
-// deadlineSlot holds one participant's armed deadline (monotonic ns;
-// 0 = disarmed). Only the owning participant reads or writes it, so no
-// atomics are needed; the shared internal/pad trailing-pad formula
-// keeps neighbours off the line.
-type deadlineSlot struct {
-	at int64
-	_  [pad.CacheLine - unsafe.Sizeof(int64(0))%pad.CacheLine]byte
-}
-
 // runDeadline is the shared WaitDeadline implementation: arm the
-// deadline slot, run the barrier's ordinary Wait, and translate the
-// timeout unwind into an error. Each algorithm's WaitDeadline method is
-// a one-line wrapper around it.
+// deadline in the participant's owner line, run the barrier's ordinary
+// Wait, and translate the timeout unwind into an error. Each
+// algorithm's WaitDeadline method is a one-line wrapper around it.
 func (w *waitState) runDeadline(b Barrier, id int, timeout time.Duration) (err error) {
-	checkID(id, w.spinP, b.Name())
+	checkID(id, len(w.owners), b.Name())
 	at := monons() + int64(timeout)
 	if at < 1 {
 		at = 1 // non-positive or hugely negative budget: already expired
 	}
-	w.deadlines[id].at = at
+	w.owners[id].at = at
 	defer func() {
-		w.deadlines[id].at = 0
+		w.owners[id].at = 0
 		if r := recover(); r != nil {
 			if ts, ok := r.(timeoutSignal); ok && ts.id == id {
 				err = &TimeoutError{Barrier: b.Name(), ID: id, Timeout: timeout}
@@ -125,96 +113,4 @@ func (w *waitState) runDeadline(b Barrier, id int, timeout time.Duration) (err e
 	}()
 	b.Wait(id)
 	return nil
-}
-
-// waitBounded is the deadline-checking wait discipline, shared by every
-// policy: spin with the usual exponential backoff, then interleave
-// clock checks with scheduler yields, parking with a timer when the
-// policy allows it. On expiry it throws timeoutSignal after leaving the
-// park slot clean. Bounded waits may yield even under SpinWait — the
-// deadline path is exceptional by definition, and a clock check
-// already costs more than the spin fast path saved.
-func (w *waitState) waitBounded(id int, f *atomic.Uint32, want uint32) {
-	dl := w.deadlines[id].at
-	var spins, yields uint64
-	backoff := uint32(1)
-	for f.Load() != want {
-		spins++
-		if backoff < spinYieldEvery {
-			pause(backoff)
-			backoff <<= 1
-			continue
-		}
-		if monons() >= dl {
-			w.flushSpin(id, spins, yields)
-			panic(timeoutSignal{id: id})
-		}
-		if w.parkSlots != nil && yields >= parkAfterYields {
-			w.flushSpin(id, spins, yields)
-			w.parkBounded(id, f, want, dl)
-			return
-		}
-		yields++
-		runtime.Gosched()
-	}
-	w.flushSpin(id, spins, yields)
-}
-
-// flushSpin folds a wait's poll statistics into the participant's
-// counters, when counting is on.
-func (w *waitState) flushSpin(id int, spins, yields uint64) {
-	if c := w.slot(id); c != nil {
-		c.spins.Add(spins)
-		c.yields.Add(yields)
-	}
-}
-
-// parkBounded is park with a timer: the usual futex-style handshake,
-// except the waiter also wakes on deadline expiry. A fresh timer per
-// park keeps the Reset/drain rules out of the picture — parking is
-// already a scheduler-priced slow path.
-func (w *waitState) parkBounded(id int, f *atomic.Uint32, want uint32, dl int64) {
-	s := &w.parkSlots[id]
-	for {
-		s.state.Store(1)
-		if f.Load() == want {
-			s.state.Store(0)
-			select { // drain a racing releaser's token
-			case <-s.ch:
-			default:
-			}
-			return
-		}
-		remaining := dl - monons()
-		if remaining <= 0 {
-			w.cancelPark(s)
-			panic(timeoutSignal{id: id})
-		}
-		t := time.NewTimer(time.Duration(remaining))
-		s.parks.Add(1)
-		select {
-		case <-s.ch: // releaser's CAS already cleared state
-			t.Stop()
-			if f.Load() == want {
-				return
-			}
-		case <-t.C:
-			w.cancelPark(s)
-			if f.Load() == want {
-				return // the flag landed right at the wire
-			}
-			panic(timeoutSignal{id: id})
-		}
-	}
-}
-
-// cancelPark withdraws a published parked bit. If a releaser already
-// claimed it (the CAS fails), its wake token is in flight or buffered;
-// receive it so it cannot spuriously wake the next park. The blocking
-// receive is safe: a failed CAS means the releaser is committed to the
-// send, which cannot block (capacity-1 channel, sole receiver here).
-func (w *waitState) cancelPark(s *parkSlot) {
-	if !s.state.CompareAndSwap(1, 0) {
-		<-s.ch
-	}
 }

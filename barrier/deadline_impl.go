@@ -2,11 +2,9 @@ package barrier
 
 import "time"
 
-// WaitDeadline methods: every spin barrier bounds its waits through the
-// shared runDeadline/waitBounded machinery in deadline.go. Channel has
-// a bespoke implementation in channel.go (it blocks in sync.Cond, not
-// in waitState). Optimized and New return *FWay, so they inherit its
-// method.
+// WaitDeadline methods: every barrier bounds its waits through the
+// shared runDeadline machinery in deadline.go. Optimized and New return
+// *FWay, so they inherit its method.
 
 // WaitDeadline implements DeadlineWaiter.
 func (b *Central) WaitDeadline(id int, timeout time.Duration) error {
@@ -44,21 +42,6 @@ func (b *Hyper) WaitDeadline(id int, timeout time.Duration) error {
 }
 
 // WaitDeadline implements DeadlineWaiter.
-func (b *NWayDissemination) WaitDeadline(id int, timeout time.Duration) error {
-	return b.runDeadline(b, id, timeout)
-}
-
-// WaitDeadline implements DeadlineWaiter.
-func (b *Hybrid) WaitDeadline(id int, timeout time.Duration) error {
-	return b.runDeadline(b, id, timeout)
-}
-
-// WaitDeadline implements DeadlineWaiter.
-func (b *Ring) WaitDeadline(id int, timeout time.Duration) error {
-	return b.runDeadline(b, id, timeout)
-}
-
-// WaitDeadline implements DeadlineWaiter.
 func (b *Hierarchical) WaitDeadline(id int, timeout time.Duration) error {
 	return b.runDeadline(b, id, timeout)
 }
@@ -71,9 +54,5 @@ var (
 	_ DeadlineWaiter = (*Tournament)(nil)
 	_ DeadlineWaiter = (*FWay)(nil)
 	_ DeadlineWaiter = (*Hyper)(nil)
-	_ DeadlineWaiter = (*NWayDissemination)(nil)
-	_ DeadlineWaiter = (*Hybrid)(nil)
-	_ DeadlineWaiter = (*Ring)(nil)
 	_ DeadlineWaiter = (*Hierarchical)(nil)
-	_ DeadlineWaiter = (*Channel)(nil)
 )

@@ -122,35 +122,6 @@ func TestTryWait(t *testing.T) {
 	}
 }
 
-func TestChannelWaitDeadline(t *testing.T) {
-	const p = 3
-	c := NewChannel(p)
-	var wg sync.WaitGroup
-	for id := 0; id < p; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for r := 0; r < 20; r++ {
-				if err := c.WaitDeadline(id, time.Second); err != nil {
-					t.Errorf("participant %d round %d: %v", id, r, err)
-					return
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-
-	wedged := NewChannel(2)
-	err := wedged.WaitDeadline(0, 20*time.Millisecond)
-	var te *TimeoutError
-	if !errors.As(err, &te) || te.ID != 0 {
-		t.Fatalf("channel bounded wait: got %v, want *TimeoutError for participant 0", err)
-	}
-	if !errors.Is(err, ErrWaitTimeout) {
-		t.Error("errors.Is(err, ErrWaitTimeout) = false")
-	}
-}
-
 // TestWaitDeadlineOutOfRange keeps WaitDeadline's id validation aligned
 // with Wait's.
 func TestWaitDeadlineOutOfRange(t *testing.T) {

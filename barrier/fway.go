@@ -90,7 +90,7 @@ type FWay struct {
 	wakeLevels int
 	ranks      []int
 	// idOfRank inverts ranks: idOfRank[ranks[id]] == id. Wait sites run
-	// in rank space but park slots are participant-indexed, so signals
+	// in rank space but park lines are participant-indexed, so signals
 	// map back through it.
 	idOfRank []int
 	local    []paddedUint32 // per-participant sense

@@ -20,7 +20,7 @@ package barrier
 //
 // Parking note: the champion must wake the G−1 waiting
 // representatives, but which participant represents a group is
-// episode-dependent. Instead of scanning every park slot (the
+// episode-dependent. Instead of scanning every park line (the
 // signalAll fallback, O(P)), each losing representative publishes its
 // id into a per-group slot before waiting, so the champion wakes
 // exactly the published representatives — O(G) loads and at most G−1
@@ -100,17 +100,7 @@ type Hierarchical struct {
 	bcast      [2]paddedWord
 	local      []paddedUint32
 	wakeLevels int
-	// eagerPark is the regime-aware wait fast path: set at construction
-	// when the barrier is oversubscribed (p > GOMAXPROCS) under the
-	// parking policy. An oversubscribed waiter's flag is essentially
-	// never ready within a spin window — the releaser cannot run until
-	// the waiter yields the processor — so the parkWait preamble
-	// (exponential spin backoff plus two scheduler yields) is pure
-	// critical-path waste, paid by every waiter every episode. Eager
-	// waiters check the flag once and go straight to the futex-style
-	// park handshake.
-	eagerPark bool
-	name      string
+	name       string
 	waitState
 }
 
@@ -236,35 +226,21 @@ func NewHierarchical(p int, cfg HierarchicalConfig, opts ...Option) *Hierarchica
 		h.wakeLevels = 2
 	}
 	h.initWait(p, opts)
-	h.eagerPark = h.policy.kind == waitSpinPark && p > runtime.GOMAXPROCS(0)
-	return h
-}
-
-// hotWait is the wait used at the barrier's blocking sites: the plain
-// policy wait, except that oversubscribed parking waiters (see
-// eagerPark) skip the spin-backoff preamble and yield straight away,
-// keeping parkWait's yield budget and park fallback. Under a FIFO
-// round-robin scheduler the yield requeues the waiter behind every
-// not-yet-arrived participant, so the first recheck usually finds the
-// flag set and the waiter never pays the park/unpark channel round
-// trip at all. Deadline-armed waits keep the bounded path.
-func (h *Hierarchical) hotWait(id int, f *atomic.Uint32, want uint32) {
-	if h.eagerPark && h.deadlines[id].at == 0 {
-		var yields uint64
-		for f.Load() != want {
-			if yields == parkAfterYields {
-				h.park(id, f, want)
-				break
-			}
-			yields++
-			runtime.Gosched()
-		}
-		if c := h.slot(id); c != nil {
-			c.yields.Add(yields)
-		}
-		return
+	// Regime-aware eager parking: when the barrier is oversubscribed
+	// (p > GOMAXPROCS) under the parking policy, a waiter's flag is
+	// essentially never ready within a spin window — the releaser cannot
+	// run until the waiter yields the processor — so the spin-backoff
+	// ladder is pure critical-path waste, paid by every waiter every
+	// episode. Eager waiters skip it and yield straight away, keeping
+	// the yield budget and the park fallback. Under a FIFO round-robin
+	// scheduler the yield requeues the waiter behind every
+	// not-yet-arrived participant, so the first recheck usually finds
+	// the flag set and the waiter never pays the park/unpark channel
+	// round trip at all.
+	if h.policy.kind == waitSpinPark && p > runtime.GOMAXPROCS(0) {
+		h.backoff = spinYieldEvery
 	}
-	h.wait(id, f, want)
+	return h
 }
 
 // Name implements Barrier.
@@ -309,7 +285,7 @@ func (h *Hierarchical) Wait(id int) {
 		if g.arrive.Add(1) != g.size {
 			// Group loser: wait for the wake-down through the group line.
 			h.phasePoint(id, PhaseArrival, 0)
-			h.hotWait(id, &g.sense, sense)
+			h.wait(id, &g.sense, sense)
 			h.phasePoint(id, PhaseWakeup, h.wakeLevels-1)
 			return
 		}
@@ -358,15 +334,15 @@ func (h *Hierarchical) Wait(id int) {
 // absorbs by re-checking its flag.
 func (h *Hierarchical) repWait(id, c int, sense uint32) {
 	h.reps[c].id.Store(int32(id) + 1)
-	h.hotWait(id, &h.rsense.v, sense)
+	h.wait(id, &h.rsense.v, sense)
 }
 
 // repSignal is the champion's representative release: store the global
 // sense, then wake exactly the representatives that published
-// themselves — O(G) instead of a P-wide park-slot scan.
+// themselves — O(G) instead of a P-wide park-line scan.
 func (h *Hierarchical) repSignal(id, c int, sense uint32) {
 	h.rsense.v.Store(sense)
-	if h.parkSlots == nil {
+	if h.parking == nil {
 		return
 	}
 	for rc := range h.reps {
@@ -414,7 +390,7 @@ func (h *Hierarchical) AllReduce(id int, v uint64, op CombineFunc) uint64 {
 	if g.size > 1 {
 		h.contrib[id].v = w
 		if g.arrive.Add(1) != g.size {
-			h.hotWait(id, &g.sense, sense)
+			h.wait(id, &g.sense, sense)
 			return g.result
 		}
 		g.arrive.Store(0)

@@ -9,19 +9,14 @@ package barrier
 // moment its wake-up arrives, tagged with the level index, so the
 // observer can reconstruct where the time went.
 //
-// The hooks follow the deadline-slot discipline (see deadline.go):
-// each participant owns a cacheline-padded probe slot that only its
-// own goroutine writes, the probe is nil by default, and a disarmed
-// probe point costs one plain load of that exclusively-owned line — no
-// new atomics, no allocation, no branch on shared state. Observers arm
-// the probe only for sampled rounds and disarm it after, so the steady
-// state stays at the bare-Wait cost.
-
-import (
-	"unsafe"
-
-	"armbarrier/internal/pad"
-)
+// The hooks follow the deadline discipline (see deadline.go): each
+// participant's probe pointer sits in its owner line (see
+// waitpolicy.go), which only its own goroutine writes; the probe is
+// nil by default, and a disarmed probe point costs one plain load of
+// that exclusively-owned line — no new atomics, no allocation, no
+// branch on shared state. Observers arm the probe only for sampled
+// rounds and disarm it after, so the steady state stays at the
+// bare-Wait cost.
 
 // Phase names the two halves of a barrier episode, matching the
 // paper's vocabulary.
@@ -52,7 +47,7 @@ func (ph Phase) String() string {
 }
 
 // PhaseProbe receives per-level progress marks from a barrier whose
-// probe slot is armed. PhasePoint is called on the participant's own
+// probe is armed. PhasePoint is called on the participant's own
 // goroutine at the moment the (phase, level) step completes: after a
 // loser publishes its arrival flag, after a winner gathers its
 // children for a level, after a wake-up flag is observed (or, for the
@@ -78,30 +73,20 @@ type PhaseProber interface {
 	PhaseShape() (arrival, wakeup int)
 }
 
-// probeSlot is one participant's probe pointer on its own cacheline,
-// mirroring deadlineSlot: only the owning participant's goroutine
-// reads or writes it, so no atomics are needed, and the shared
-// internal/pad trailing-pad formula keeps a neighbour's arm/disarm
-// from bouncing this line.
-type probeSlot struct {
-	pr PhaseProbe
-	_  [pad.CacheLine - unsafe.Sizeof(PhaseProbe(nil))%pad.CacheLine]byte
-}
-
 // SetPhaseProbe implements PhaseProber for every barrier embedding
 // waitState.
 func (w *waitState) SetPhaseProbe(id int, pr PhaseProbe) {
-	if id < 0 || id >= w.spinP {
+	if id < 0 || id >= len(w.owners) {
 		panic("barrier: SetPhaseProbe participant out of range")
 	}
-	w.probes[id].pr = pr
+	w.owners[id].probe = pr
 }
 
 // phasePoint marks a (phase, level) step for participant id. Disarmed
 // — the steady state — it is one plain load of the participant's own
-// padded slot and a nil check.
+// owner line and a nil check.
 func (w *waitState) phasePoint(id int, ph Phase, level int) {
-	if pr := w.probes[id].pr; pr != nil {
+	if pr := w.owners[id].probe; pr != nil {
 		pr.PhasePoint(id, ph, level)
 	}
 }

@@ -111,24 +111,3 @@ func TestHyperTopStride(t *testing.T) {
 		t.Fatalf("top stride = %d, want 16 for P=64, branch 4", top)
 	}
 }
-
-func TestChannelGenerationAdvances(t *testing.T) {
-	c := NewChannel(2)
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 3; i++ {
-			c.Wait(1)
-		}
-		close(done)
-	}()
-	for i := 0; i < 3; i++ {
-		c.Wait(0)
-	}
-	<-done
-	if c.generation != 3 {
-		t.Fatalf("generation = %d, want 3", c.generation)
-	}
-	if c.count != 0 {
-		t.Fatalf("count = %d, want 0 after full rounds", c.count)
-	}
-}

@@ -21,8 +21,15 @@ package barrier
 //     extra read-modify-write.
 //   - AdaptiveWait   — starts as SpinYieldWait and switches each
 //     participant to the parking discipline when its observed
-//     yields-per-wait (the same yield counts spinStats records) cross
+//     yields-per-wait (the same yield counts SpinCounts reports) cross
 //     a threshold, switching back when waits become yield-free.
+//
+// Every policy runs the same poll loop (waitState.wait) and the same
+// park routine. Per participant the wait site keeps two padded lines:
+// an owner line with everything only the participant writes (deadline,
+// phase probe, counters, adaptive tally) and, under the parking
+// policies, a park line with what releasers write (the parked bit, its
+// wake channel and the wake counter).
 //
 // Select a policy with the WithWaitPolicy constructor option:
 //
@@ -34,6 +41,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"armbarrier/internal/pad"
@@ -128,86 +136,109 @@ func WithWaitPolicy(p WaitPolicy) Option {
 // park/wake pair costs two scheduler transitions.
 const parkAfterYields = 2
 
+// neverPark is the yield budget of a waiter that may not park.
+const neverPark = ^uint64(0)
+
 // adaptWindow is how many waits an adaptive participant observes
 // before re-deciding its discipline.
 const adaptWindow = 64
 
-// parkState is one participant's parking place: a one-token semaphore
-// plus the parked bit the release side inspects.
-type parkState struct {
-	// parks counts times this participant parked; wakes counts tokens a
-	// releaser handed it. parks is owner-written, wakes waker-written;
-	// both are atomics so concurrent snapshots stay race-free.
-	parks atomic.Uint64
-	wakes atomic.Uint64
-	ch    chan struct{}
-	// state is 1 while the owner is parked or committing to park.
-	state atomic.Uint32
+// ownerState is everything one participant's wait site keeps that only
+// that participant's goroutine writes. Keeping it on one line means a
+// Wait touches one line of its own besides the flags it polls, however
+// many features (deadlines, probes, counters, adaptation) are on.
+type ownerState struct {
+	// at is the armed deadline in monotonic ns, 0 while disarmed (see
+	// deadline.go); probe is the phase probe, nil while disarmed (see
+	// phase.go). Both are plain fields: the bare-Wait fast path pays one
+	// non-atomic load of this exclusively-owned line for each.
+	at    int64
+	probe PhaseProbe
+	// spins and yields are the SpinCounter poll statistics, parks the
+	// ParkCounter park count. Atomics only so a concurrent snapshot
+	// stays race-free; the owner is the sole writer.
+	spins  atomic.Uint64
+	yields atomic.Uint64
+	parks  atomic.Uint64
+	// waits, tally and park are the adaptive policy's window: waits
+	// observed, yields they took, and the current decision.
+	waits uint64
+	tally uint64
+	park  bool
 }
 
-// parkSlot pads parkState to a full line multiple (the shared
+// ownerLine pads ownerState to a full line multiple (the shared
 // internal/pad trailing-pad formula) so neighbouring participants'
-// slots never share a line.
-type parkSlot struct {
+// owner lines never share a line.
+type ownerLine struct {
+	ownerState
+	_ [pad.CacheLine - unsafe.Sizeof(ownerState{})%pad.CacheLine]byte
+}
+
+// parkState is one participant's parking place: a one-token semaphore
+// plus the parked bit the release side inspects. Releasers write it, so
+// it lives apart from the owner line: a release never invalidates the
+// owner's private state.
+type parkState struct {
+	// state is 1 while the owner is parked or committing to park.
+	state atomic.Uint32
+	// wakes counts tokens releasers handed the owner.
+	wakes atomic.Uint64
+	ch    chan struct{}
+}
+
+// parkLine pads parkState to a full line multiple.
+type parkLine struct {
 	parkState
 	_ [pad.CacheLine - unsafe.Sizeof(parkState{})%pad.CacheLine]byte
 }
 
-// adaptState is one participant's adaptive-policy accounting. Only the
-// owning participant touches it, so the fields need no atomics.
-type adaptState struct {
-	waits  uint64
-	yields uint64
-	park   bool
-}
-
-// adaptSlot pads adaptState so neighbours never share a line.
-type adaptSlot struct {
-	adaptState
-	_ [pad.CacheLine - unsafe.Sizeof(adaptState{})%pad.CacheLine]byte
-}
-
 // waitState is the embeddable wait-site implementation shared by every
-// spin barrier in this package: the spinStats counters plus the
-// configured wait policy and its parking state. Constructors call
-// initWait(p, opts).
+// spin barrier in this package: the configured wait policy plus, per
+// participant, one owner line and (under parking policies) one park
+// line. Constructors call initWait(p, opts).
 type waitState struct {
-	spinStats
-	policy     WaitPolicy
-	parkSlots  []parkSlot  // non-nil iff the policy may park
-	adaptSlots []adaptSlot // non-nil iff the policy is adaptive
-	// deadlines[id].at is non-zero while participant id runs a bounded
-	// wait (see deadline.go). Owner-only plain field: the bare-Wait fast
-	// path pays one non-atomic load of an exclusively-owned cacheline.
-	deadlines []deadlineSlot
-	// probes[id].pr is participant id's phase probe, nil when disarmed
-	// (see phase.go). Same owner-only plain-load discipline as
-	// deadlines.
-	probes []probeSlot
+	policy WaitPolicy
+	// backoff is the first pause of the poll loop's spin ladder;
+	// spinYieldEvery skips the ladder (see NewHierarchical's eager
+	// parking).
+	backoff uint32
+	// counting is set by EnableSpinCounts before any Wait.
+	counting bool
+	owners   []ownerLine
+	parking  []parkLine // non-nil iff the policy may park
 }
 
 // initWait applies the constructor options and allocates whatever the
 // chosen policy needs.
 func (w *waitState) initWait(p int, opts []Option) {
-	w.initSpin(p)
+	w.backoff = 1
 	for _, o := range opts {
 		o(w)
 	}
+	w.owners = make([]ownerLine, p)
 	if w.policy.mayPark() {
-		w.parkSlots = make([]parkSlot, p)
-		for i := range w.parkSlots {
-			w.parkSlots[i].ch = make(chan struct{}, 1)
+		w.parking = make([]parkLine, p)
+		for i := range w.parking {
+			w.parking[i].ch = make(chan struct{}, 1)
 		}
 	}
-	if w.policy.kind == waitAdaptive {
-		w.adaptSlots = make([]adaptSlot, p)
-	}
-	w.deadlines = make([]deadlineSlot, p)
-	w.probes = make([]probeSlot, p)
 }
 
 // WaitPolicy returns the policy the barrier was constructed with.
 func (w *waitState) WaitPolicy() WaitPolicy { return w.policy }
+
+// EnableSpinCounts implements SpinCounter.
+func (w *waitState) EnableSpinCounts() { w.counting = true }
+
+// SpinCounts implements SpinCounter.
+func (w *waitState) SpinCounts(id int) (spins, yields uint64) {
+	if id < 0 || id >= len(w.owners) {
+		panic(fmt.Sprintf("barrier: SpinCounts participant %d outside [0,%d)", id, len(w.owners)))
+	}
+	o := &w.owners[id]
+	return o.spins.Load(), o.yields.Load()
+}
 
 // ParkCounter is implemented by barriers whose wait policy can park.
 // Unlike SpinCounter, the counters are always on: parking and waking
@@ -222,72 +253,40 @@ type ParkCounter interface {
 
 // ParkCounts implements ParkCounter.
 func (w *waitState) ParkCounts(id int) (parks, wakes uint64) {
-	if id < 0 || id >= w.spinP {
-		panic(fmt.Sprintf("barrier: ParkCounts participant %d outside [0,%d)", id, w.spinP))
+	if id < 0 || id >= len(w.owners) {
+		panic(fmt.Sprintf("barrier: ParkCounts participant %d outside [0,%d)", id, len(w.owners)))
 	}
-	if w.parkSlots == nil {
+	if w.parking == nil {
 		return 0, 0
 	}
-	s := &w.parkSlots[id]
-	return s.parks.Load(), s.wakes.Load()
+	return w.owners[id].parks.Load(), w.parking[id].wakes.Load()
 }
 
-// wait blocks participant id until *f == want, using the configured
-// policy. It replaces direct spinUntilEq calls at every wait site.
+// wait blocks participant id until *f == want. It is the package's
+// one poll loop, and every wait site funnels through it. The policy
+// fixes the loop's inputs: the starting backoff, whether it may yield,
+// how many yields precede parking, and the armed deadline.
+//
+// The pause between polls backs off exponentially from w.backoff up to
+// spinYieldEvery, so an early arrival stays off the flag's cacheline.
+// Once the ladder is spent the waiter yields to the Go scheduler
+// between polls, except under SpinWait, which keeps pausing
+// spinYieldEvery iterations (Go's asynchronous preemption keeps that
+// safe, though not fast, on shared cores). The parking disciplines
+// park after parkAfterYields yields. An armed deadline (see
+// deadline.go) may always yield, parks with a timer whenever the
+// policy can park at all, and is checked only past the ladder — a
+// clock read costs more than the spin fast path saves; expiry throws
+// timeoutSignal. The yields taken feed the adaptive policy.
 func (w *waitState) wait(id int, f *atomic.Uint32, want uint32) {
-	if w.deadlines[id].at != 0 {
-		w.waitBounded(id, f, want)
-		return
+	o := &w.owners[id]
+	backoff, dl := w.backoff, o.at
+	yield := w.policy.kind != waitSpin || dl != 0
+	parkAfter := neverPark
+	if w.parking != nil && (dl != 0 || o.park || w.policy.kind == waitSpinPark) {
+		parkAfter = parkAfterYields
 	}
-	switch w.policy.kind {
-	case waitSpinYield:
-		spinUntilEq(f, want, w.slot(id))
-	case waitSpin:
-		spinNoYield(f, want, w.slot(id))
-	case waitSpinPark:
-		w.parkWait(id, f, want)
-	case waitAdaptive:
-		a := &w.adaptSlots[id]
-		var yields uint64
-		if a.park {
-			yields = w.parkWait(id, f, want)
-		} else {
-			var spins uint64
-			spins, yields = spinYieldLoop(f, want)
-			if c := w.slot(id); c != nil {
-				c.spins.Add(spins)
-				c.yields.Add(yields)
-			}
-		}
-		a.note(yields)
-	}
-}
-
-// note folds one wait's yield count into the adaptive decision: after
-// adaptWindow waits, park when they averaged >= 1 yield each, go back
-// to spinning when at most one wait in four yielded at all.
-func (a *adaptSlot) note(yields uint64) {
-	a.waits++
-	a.yields += yields
-	if a.waits < adaptWindow {
-		return
-	}
-	switch {
-	case a.yields >= a.waits:
-		a.park = true
-	case a.yields*4 <= a.waits:
-		a.park = false
-	}
-	a.waits, a.yields = 0, 0
-}
-
-// parkWait is the SpinParkWait discipline: spin with exponential
-// backoff, yield parkAfterYields times, then park until a releaser
-// hands over a token. Returns the scheduler yields taken (the adaptive
-// policy feeds on them).
-func (w *waitState) parkWait(id int, f *atomic.Uint32, want uint32) uint64 {
 	var spins, yields uint64
-	backoff := uint32(1)
 	for f.Load() != want {
 		spins++
 		if backoff < spinYieldEvery {
@@ -295,22 +294,62 @@ func (w *waitState) parkWait(id int, f *atomic.Uint32, want uint32) uint64 {
 			backoff <<= 1
 			continue
 		}
-		if yields < parkAfterYields {
-			yields++
-			runtime.Gosched()
+		if dl != 0 && monons() >= dl {
+			w.count(o, spins, yields)
+			panic(timeoutSignal{id: id})
+		}
+		if yields >= parkAfter {
+			// The counts are added after the park, not before it: the
+			// atomics would delay the parked-bit publish, which cost
+			// about 10% per oversubscribed SpinParkWait episode with
+			// counting on (P=8, 2 vCPUs).
+			w.park(id, f, want, dl)
+			break
+		}
+		if !yield {
+			pause(backoff)
 			continue
 		}
-		w.park(id, f, want)
-		break
+		yields++
+		runtime.Gosched()
 	}
-	if c := w.slot(id); c != nil {
-		c.spins.Add(spins)
-		c.yields.Add(yields)
+	w.count(o, spins, yields)
+	if w.policy.kind == waitAdaptive {
+		o.note(yields)
 	}
-	return yields
 }
 
-// park blocks participant id until *f == want.
+// note folds one wait's yield count into the adaptive decision: after
+// adaptWindow waits, park when they averaged >= 1 yield each, go back
+// to spinning when at most one wait in four yielded at all.
+func (o *ownerState) note(yields uint64) {
+	o.waits++
+	o.tally += yields
+	if o.waits < adaptWindow {
+		return
+	}
+	switch {
+	case o.tally >= o.waits:
+		o.park = true
+	case o.tally*4 <= o.waits:
+		o.park = false
+	}
+	o.waits, o.tally = 0, 0
+}
+
+// count folds a wait's poll statistics into the participant's owner
+// line when counting is on, so the uninstrumented path pays a single
+// predictable branch and no atomics.
+func (w *waitState) count(o *ownerLine, spins, yields uint64) {
+	if w.counting {
+		o.spins.Add(spins)
+		o.yields.Add(yields)
+	}
+}
+
+// park blocks participant id until *f == want, or — when dl is
+// non-zero — until the monotonic deadline dl passes, which throws
+// timeoutSignal after leaving the park line clean.
 //
 // The protocol is the classic futex-style handshake, relying on the
 // sequential consistency of Go's atomics: the waiter publishes its
@@ -321,8 +360,8 @@ func (w *waitState) parkWait(id int, f *atomic.Uint32, want uint32) uint64 {
 // token (from a release that raced with the waiter's own flag check)
 // only causes a spurious wake; the loop re-checks the flag and parks
 // again.
-func (w *waitState) park(id int, f *atomic.Uint32, want uint32) {
-	s := &w.parkSlots[id]
+func (w *waitState) park(id int, f *atomic.Uint32, want uint32, dl int64) {
+	s := &w.parking[id]
 	for {
 		s.state.Store(1)
 		if f.Load() == want {
@@ -335,11 +374,49 @@ func (w *waitState) park(id int, f *atomic.Uint32, want uint32) {
 			}
 			return
 		}
-		s.parks.Add(1)
-		<-s.ch // the releaser's CAS already cleared state
+		w.owners[id].parks.Add(1)
+		if dl == 0 {
+			<-s.ch // the releaser's CAS already cleared state
+		} else if !s.tokenBefore(dl) {
+			if f.Load() == want {
+				return // the flag landed right at the wire
+			}
+			panic(timeoutSignal{id: id})
+		}
 		if f.Load() == want {
 			return
 		}
+	}
+}
+
+// tokenBefore is park's bounded receive: it waits for a releaser's
+// token until the monotonic deadline dl, and on expiry withdraws the
+// parked bit and reports false. A fresh timer per bounded park keeps
+// the Reset/drain rules out of the picture — parking is already a
+// scheduler-priced slow path. It lives outside park because the timer
+// and select would triple park's stack frame, and a woken waiter
+// resumes through that frame: on the 2-vCPU reference host the larger
+// frame cost the parked hand-off about 200 ns.
+func (s *parkState) tokenBefore(dl int64) bool {
+	t := time.NewTimer(time.Duration(dl - monons()))
+	select {
+	case <-s.ch: // the releaser's CAS already cleared state
+		t.Stop()
+		return true
+	case <-t.C:
+		s.cancel()
+		return false
+	}
+}
+
+// cancel withdraws a published parked bit. If a releaser already
+// claimed it (the CAS fails), its wake token is in flight or buffered;
+// receive it so it cannot spuriously wake the next park. The blocking
+// receive is safe: a failed CAS means the releaser is committed to the
+// send, which cannot block (capacity-1 channel, sole receiver here).
+func (s *parkState) cancel() {
+	if !s.state.CompareAndSwap(1, 0) {
+		<-s.ch
 	}
 }
 
@@ -350,7 +427,7 @@ func (w *waitState) park(id int, f *atomic.Uint32, want uint32) {
 // waiter's parked bit.
 func (w *waitState) signal(f *atomic.Uint32, v uint32, waiter int) {
 	f.Store(v)
-	if w.parkSlots == nil || waiter < 0 {
+	if w.parking == nil || waiter < 0 {
 		return
 	}
 	w.unpark(waiter)
@@ -361,10 +438,10 @@ func (w *waitState) signal(f *atomic.Uint32, v uint32, waiter int) {
 // self.
 func (w *waitState) signalAll(f *atomic.Uint32, v uint32, self int) {
 	f.Store(v)
-	if w.parkSlots == nil {
+	if w.parking == nil {
 		return
 	}
-	for i := range w.parkSlots {
+	for i := range w.parking {
 		if i != self {
 			w.unpark(i)
 		}
@@ -376,7 +453,7 @@ func (w *waitState) signalAll(f *atomic.Uint32, v uint32, self int) {
 // and wakes the parked ones, skipping self.
 func (w *waitState) signalGroup(f *atomic.Uint32, v uint32, ids []int, self int) {
 	f.Store(v)
-	if w.parkSlots == nil {
+	if w.parking == nil {
 		return
 	}
 	for _, i := range ids {
@@ -390,33 +467,13 @@ func (w *waitState) signalGroup(f *atomic.Uint32, v uint32, ids []int, self int)
 // parked-bit load keeps the no-parked-waiter path to a single read;
 // the CAS ensures exactly one releaser delivers the token.
 func (w *waitState) unpark(i int) {
-	s := &w.parkSlots[i]
+	s := &w.parking[i]
 	if s.state.Load() == 1 && s.state.CompareAndSwap(1, 0) {
 		s.wakes.Add(1)
 		select {
 		case s.ch <- struct{}{}:
 		default:
 		}
-	}
-}
-
-// spinNoYield is the SpinWait discipline: poll forever, backing off
-// exponentially (capped at spinYieldEvery pause iterations) to keep
-// the waiting core off the interconnect, and never enter the
-// scheduler. Go's asynchronous preemption keeps this safe — though not
-// fast — even when cores are shared.
-func spinNoYield(f *atomic.Uint32, want uint32, c *spinCount) {
-	var spins uint64
-	backoff := uint32(1)
-	for f.Load() != want {
-		spins++
-		pause(backoff)
-		if backoff < spinYieldEvery {
-			backoff <<= 1
-		}
-	}
-	if c != nil {
-		c.spins.Add(spins)
 	}
 }
 

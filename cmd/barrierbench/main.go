@@ -39,9 +39,11 @@ import (
 	"armbarrier/obs"
 )
 
-// algos maps command-line names to real barrier constructors. Every
-// constructor forwards the options so -wait applies across the board;
-// channel has no spin sites, so it ignores them.
+// algos maps command-line names to real barrier constructors: the
+// paper's algorithms plus the hierarchical barrier. Every constructor
+// forwards the options so -wait applies across the board. The paper's
+// related-work barriers (ring, hybrid, n-way dissemination) exist only
+// on the simulator (barriersim -exp related).
 var algos = map[string]func(p int, opts ...barrier.Option) barrier.Barrier{
 	"central":       func(p int, o ...barrier.Option) barrier.Barrier { return barrier.NewCentral(p, o...) },
 	"dissemination": func(p int, o ...barrier.Option) barrier.Barrier { return barrier.NewDissemination(p, o...) },
@@ -52,14 +54,6 @@ var algos = map[string]func(p int, opts ...barrier.Option) barrier.Barrier{
 	"dtour":         func(p int, o ...barrier.Option) barrier.Barrier { return barrier.NewDynamicFWay(p, o...) },
 	"hyper":         func(p int, o ...barrier.Option) barrier.Barrier { return barrier.NewHyper(p, o...) },
 	"optimized":     func(p int, o ...barrier.Option) barrier.Barrier { return barrier.New(p, o...) },
-	"channel":       func(p int, _ ...barrier.Option) barrier.Barrier { return barrier.NewChannel(p) },
-	"ring":          func(p int, o ...barrier.Option) barrier.Barrier { return barrier.NewRing(p, o...) },
-	"hybrid": func(p int, o ...barrier.Option) barrier.Barrier {
-		return barrier.NewHybrid(p, barrier.HybridConfig{}, o...)
-	},
-	"ndis2": func(p int, o ...barrier.Option) barrier.Barrier {
-		return barrier.NewNWayDissemination(p, 2, o...)
-	},
 	// hier auto-derives its group size from the cached host-latency
 	// probe; use -hiergroup to pin it instead.
 	"hier": func(p int, o ...barrier.Option) barrier.Barrier {
@@ -74,8 +68,7 @@ var hierGroupSize int
 // order fixes the display order.
 var order = []string{
 	"central", "dissemination", "combining", "mcs",
-	"tournament", "stour", "dtour", "hyper", "optimized",
-	"channel", "ring", "hybrid", "ndis2", "hier",
+	"tournament", "stour", "dtour", "hyper", "optimized", "hier",
 }
 
 func main() {

@@ -24,6 +24,36 @@ func runRounds(in *Instrumented, rounds int) {
 	})
 }
 
+// runUntilStopped drives b with all participants, round after round,
+// until stop is closed, and returns once every participant has left.
+// Participants must leave in the same round: one that polled stop on
+// its own could leave while its peers already wait in the next round,
+// wedging them for good. So participant 0 samples stop before each
+// Wait into that round's decision slot, and everyone reads the slot
+// after the Wait. The slots alternate by round parity because a
+// participant may still be reading round r's slot when participant 0,
+// already through round r's Wait, decides round r+1; participant 0
+// cannot reach round r+2 (the same slot again) before everyone has
+// arrived at round r+1, i.e. finished reading round r's slot.
+func runUntilStopped(b barrier.Barrier, stop <-chan struct{}) {
+	var quit [2]bool
+	barrier.Run(b, func(id int) {
+		for r := 0; ; r++ {
+			if id == 0 {
+				select {
+				case <-stop:
+					quit[r%2] = true
+				default:
+				}
+			}
+			b.Wait(id)
+			if quit[r%2] {
+				return
+			}
+		}
+	})
+}
+
 func TestShardPadding(t *testing.T) {
 	if s := unsafe.Sizeof(shard{}); s%cacheLine != 0 {
 		t.Fatalf("shard is %d bytes, not a multiple of %d", s, cacheLine)
@@ -190,8 +220,17 @@ func TestInstrumentParkCountsDefaultPolicyZero(t *testing.T) {
 }
 
 func TestInstrumentNonSpinBarrier(t *testing.T) {
-	// Channel barriers cannot count spins; everything else must work.
-	in := Instrument(barrier.NewChannel(3), Options{})
+	// Embedding the interface hides every method but Wait, Participants
+	// and Name: a barrier that cannot count spins or parks. Everything
+	// else must work.
+	var b barrier.Barrier = struct{ barrier.Barrier }{barrier.NewCentral(3)}
+	if _, ok := b.(barrier.SpinCounter); ok {
+		t.Fatal("test barrier implements SpinCounter")
+	}
+	if _, ok := b.(barrier.ParkCounter); ok {
+		t.Fatal("test barrier implements ParkCounter")
+	}
+	in := Instrument(b, Options{})
 	runRounds(in, 10)
 	s := in.Snapshot()
 	if s.TotalRounds() != 10 {
@@ -224,16 +263,7 @@ func TestSnapshotWhileRunning(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		barrier.Run(in, func(id int) {
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					in.Wait(id)
-				}
-			}
-		})
+		runUntilStopped(in, stop)
 	}()
 	var last uint64
 	for i := 0; i < 100; i++ {

@@ -409,16 +409,7 @@ func TestTracerEpisodesWhileRunning(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		barrier.Run(tr, func(id int) {
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					tr.Wait(id)
-				}
-			}
-		})
+		runUntilStopped(tr, stop)
 	}()
 	for i := 0; i < 200; i++ {
 		for _, ep := range tr.Episodes() {
