@@ -255,6 +255,14 @@ func TestDriftSnapshotJSON(t *testing.T) {
 // other gather instant (its own reads find flags already set) while
 // champion 0's level-2 gather absorbs the full delay. Arrival levels 0
 // and 1 stay fast; arrival level 2 carries the delay.
+//
+// The barrier parks its waiters (SpinParkWait), the policy the package
+// recommends when participants outnumber cores, as these eight do on a
+// small host. Under the default spin-yield policy the seven waiters
+// would burn the process's CPU share through every injected delay, and
+// on a loaded host the kernel then deschedules the process right after
+// the release, so level-0 and level-1 gathers absorb stalls that have
+// nothing to do with the delayed participant.
 func TestDriftLocalizesDelayedParticipant(t *testing.T) {
 	const (
 		p      = 8
@@ -265,7 +273,7 @@ func TestDriftLocalizesDelayedParticipant(t *testing.T) {
 		Schedule: []int{2, 2, 2},
 		Padded:   true,
 		Wakeup:   barrier.WakeGlobal,
-	})
+	}, barrier.WithWaitPolicy(barrier.SpinParkWait()))
 	// Delay participant 4 on every round, so the drift window's mean
 	// is dominated by the injected delay, not scheduler noise. The
 	// injector wraps the *instrumented* barrier: the sleep happens
