@@ -139,6 +139,18 @@ func TestMeasureDeterministic(t *testing.T) {
 	}
 }
 
+// BenchmarkMeasureOptimized64 prices the simulator kernel itself: one
+// default-options measurement of the optimized barrier at 64 threads on
+// Phytium 2000+, the shape of each probe in the paper regeneration.
+func BenchmarkMeasureOptimized64(b *testing.B) {
+	m := topology.Phytium2000()
+	for i := 0; i < b.N; i++ {
+		if _, err := MeasureDetailed(m, 64, Optimized, MeasureOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestMeasureOptionValidation(t *testing.T) {
 	m := topology.ThunderX2()
 	if _, err := Measure(m, 8, NewSense, MeasureOptions{Episodes: -1}); err == nil {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -36,13 +38,14 @@ func randProgram(rng *rand.Rand, nOps, nVars int) [][]randOp {
 }
 
 // runRandom executes one random program and returns (maxTime, stats).
-func runRandom(t *testing.T, m *topology.Machine, progs [][]randOp, packed bool) (float64, Stats) {
+// trace, if non-nil, receives every event.
+func runRandom(t *testing.T, m *topology.Machine, progs [][]randOp, packed bool, trace func(Event)) (float64, Stats) {
 	t.Helper()
 	place, err := topology.Compact(m, len(progs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := New(Config{Machine: m, Placement: place})
+	k, err := New(Config{Machine: m, Placement: place, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +80,8 @@ func TestRandomProgramsTerminateDeterministically(t *testing.T) {
 		m := machines[rng.Intn(len(machines))]
 		progs := randProgram(rng, 40, 12)
 		packed := rng.Intn(2) == 0
-		t1, s1 := runRandom(t, m, progs, packed)
-		t2, s2 := runRandom(t, m, progs, packed)
+		t1, s1 := runRandom(t, m, progs, packed, nil)
+		t2, s2 := runRandom(t, m, progs, packed, nil)
 		if t1 != t2 || s1 != s2 {
 			t.Fatalf("seed %d on %s: nondeterministic (%g/%g, %+v vs %+v)", seed, m.Name, t1, t2, s1, s2)
 		}
@@ -88,13 +91,31 @@ func TestRandomProgramsTerminateDeterministically(t *testing.T) {
 	}
 }
 
+// TestRandomProgramTraceDigestPinned pins an FNV-64a digest of every
+// event of one seeded 15-thread program on packed lines, so the order in
+// which the scheduler interleaves simultaneous operations is checked
+// directly, not only through the final clocks and counters.
+func TestRandomProgramTraceDigestPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	progs := randProgram(rng, 200, 12)
+	if len(progs) != 15 {
+		t.Fatalf("seed 7 generated %d threads, want 15", len(progs))
+	}
+	h := fnv.New64a()
+	runRandom(t, topology.Kunpeng920(), progs, true, func(e Event) { fmt.Fprintf(h, "%+v\n", e) })
+	const want uint64 = 0x9577931689948162
+	if got := h.Sum64(); got != want {
+		t.Fatalf("trace digest %#x, pinned %#x", got, want)
+	}
+}
+
 func TestRandomProgramsMonotoneUnderCompute(t *testing.T) {
 	// Adding compute time to one thread must never reduce the global
 	// completion time.
 	rng := rand.New(rand.NewSource(7))
 	m := topology.Phytium2000()
 	progs := randProgram(rng, 30, 12)
-	base, _ := runRandom(t, m, progs, false)
+	base, _ := runRandom(t, m, progs, false, nil)
 	// Inflate thread 0's compute ops.
 	for i := range progs[0] {
 		if progs[0][i].kind == 3 {
@@ -102,7 +123,7 @@ func TestRandomProgramsMonotoneUnderCompute(t *testing.T) {
 		}
 	}
 	progs[0] = append(progs[0], randOp{kind: 3, compute: 5000})
-	inflated, _ := runRandom(t, m, progs, false)
+	inflated, _ := runRandom(t, m, progs, false, nil)
 	if inflated < base {
 		t.Fatalf("adding work reduced completion: %g -> %g", base, inflated)
 	}
