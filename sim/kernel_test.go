@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"armbarrier/topology"
 )
@@ -337,25 +340,47 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// expectReleased fails the test unless the goroutine count falls back to
+// base within a short deadline: an aborted Run must release its parked
+// threads instead of leaving their goroutines blocked forever.
+func expectReleased(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the aborted Run, %d before it", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestDeadlockPanics(t *testing.T) {
-	m := topology.XeonGold()
-	k := newTestKernel(t, m, 2)
-	a := k.Alloc(1)[0]
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no deadlock panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "deadlock") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	k.Run(func(t *Thread) {
-		if t.ID() == 1 {
-			t.SpinUntilEqual(a, 99) // never written
-		}
-	})
+	// With 2 threads one finishes and the other never wakes; with 8
+	// every thread spins on a flag no one writes.
+	for _, threads := range []int{2, 8} {
+		t.Run(fmt.Sprint(threads), func(t *testing.T) {
+			m := topology.XeonGold()
+			k := newTestKernel(t, m, threads)
+			a := k.Alloc(1)[0]
+			base := runtime.NumGoroutine()
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("no deadlock panic")
+				}
+				msg, ok := r.(string)
+				if !ok || !strings.Contains(msg, "deadlock") {
+					t.Fatalf("unexpected panic: %v", r)
+				}
+				expectReleased(t, base)
+			}()
+			k.Run(func(t *Thread) {
+				if threads > 2 || t.ID() == 1 {
+					t.SpinUntilEqual(a, 99) // never written
+				}
+			})
+		})
+	}
 }
 
 func TestRunTwicePanics(t *testing.T) {
@@ -381,15 +406,23 @@ func TestAllocAfterRunPanics(t *testing.T) {
 }
 
 func TestBadAddressPanics(t *testing.T) {
-	k := newTestKernel(t, topology.XeonGold(), 1)
-	k.Alloc(1)
+	k := newTestKernel(t, topology.XeonGold(), 4)
+	a := k.Alloc(1)[0]
+	base := runtime.NumGoroutine()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for bad address")
 		}
+		expectReleased(t, base)
 	}()
+	// Threads 1-3 are waiting on a when thread 0 panics.
 	k.Run(func(t *Thread) {
-		t.Load(Addr(99))
+		if t.ID() == 0 {
+			t.Compute(10)
+			t.Load(a)
+			t.Load(Addr(99))
+		}
+		t.SpinUntilEqual(a, 1)
 	})
 }
 

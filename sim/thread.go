@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Thread is one simulated hardware thread, pinned to a core. All
 // methods must be called from inside the function passed to Kernel.Run,
@@ -11,12 +14,9 @@ type Thread struct {
 	kernel *Kernel
 	now    float64
 	resume chan struct{}
-	state  threadState
-	// waitLine is the line this thread is blocked on while waiting.
+	// waiting is set while the thread is blocked on line waitLine.
+	waiting  bool
 	waitLine int
-	// panicked records a panic raised by the thread's program so the
-	// kernel can re-raise it on the Run caller's goroutine.
-	panicked any
 	// loadStreak counts back-to-back remote loads of distinct lines
 	// with no intervening store, atomic, wait or compute: such loads
 	// overlap in hardware (memory-level parallelism), so the 2nd and
@@ -53,13 +53,39 @@ func (t *Thread) Compute(ns float64) {
 	t.now += ns
 }
 
-// sync hands control back to the kernel and blocks until this thread is
-// again the globally-minimal runnable thread. Every memory operation
-// passes through sync first so operations apply in virtual-time order.
+// sync blocks until this thread is the globally-minimal runnable
+// thread. Every memory operation passes through sync first so operations
+// apply in virtual-time order. A thread still before every ready thread
+// keeps running without a switch; otherwise it joins the ready heap and
+// hands control straight to the earliest thread.
 func (t *Thread) sync() {
-	t.state = stateRunnable
-	t.kernel.yield <- t
+	k := t.kernel
+	if len(k.ready) == 0 || t.before(k.ready[0]) {
+		return
+	}
+	k.push(t)
+	k.resumeNext()
+	t.park()
+}
+
+// park blocks until another thread hands control to this one. After an
+// aborted Run it ends the goroutine instead.
+func (t *Thread) park() {
 	<-t.resume
+	if t.kernel.aborted {
+		runtime.Goexit()
+	}
+}
+
+// finish retires a thread whose program returned and hands control on;
+// the last thread to finish reports completion to Run.
+func (t *Thread) finish() {
+	k := t.kernel
+	if k.live--; k.live == 0 {
+		k.exit <- nil
+		return
+	}
+	k.resumeNext()
 }
 
 // Load reads a variable. A hit in the local cache costs ε; a miss is a
@@ -298,8 +324,9 @@ func (t *Thread) commitWrite(ln *line, seq int) {
 		if w.now < commit {
 			w.now = commit
 		}
-		w.state = stateRunnable
+		w.waiting = false
 		w.wakeSeq = seq
+		k.push(w)
 		k.stats.Wakeups++
 		k.emit(Event{Time: commit, Thread: w.id, Core: w.core, Kind: OpWake, Cost: 0,
 			Seq: -1, BlockedBy: seq, Block: "wake"})
@@ -332,9 +359,9 @@ func (t *Thread) wait(a Addr) {
 	t.loadStreak = 0
 	k := t.kernel
 	ln := k.lines[k.vars[k.checkAddr(a)].line]
-	t.state = stateWaiting
+	t.waiting = true
 	t.waitLine = ln.id
 	ln.waiters = append(ln.waiters, t)
-	k.yield <- t
-	<-t.resume
+	k.resumeNext()
+	t.park()
 }
