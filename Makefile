@@ -9,7 +9,7 @@ GO ?= go
 TEST_TIMEOUT ?= 180s
 RACE_TIMEOUT ?= 300s
 
-.PHONY: build vet fmt test race check bench-smoke fault-smoke timeline-smoke phases-smoke hier-smoke fabric-smoke elastic-smoke
+.PHONY: build vet fmt test race check stress bench-smoke fault-smoke timeline-smoke phases-smoke hier-smoke fabric-smoke elastic-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,16 @@ race:
 # matrix, the stream, phase, hierarchical, fabric and elastic suites
 # included — so check adds no name-filtered re-runs of its own.
 check: build vet fmt race
+
+# Flake hunt: 20 back-to-back runs of the concurrency-heavy packages,
+# once with every goroutine on one P and once on two, so a test that
+# fails only now and then fails here. The 300s timeout bounds each
+# package's 20 runs, so a hang fails the target instead of stalling it.
+STRESS_PKGS = ./obs/ ./barrier/ ./fabric/ ./omp/ ./internal/faultinject/ ./sim/
+
+stress:
+	GOMAXPROCS=1 $(GO) test -count=20 -timeout 300s $(STRESS_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=20 -timeout 300s $(STRESS_PKGS)
 
 # One quick barrierbench run per wait policy: exercises every wait
 # discipline end to end (flag parsing through measurement) without the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -58,18 +59,24 @@ func firstLine(s string) string {
 	return s
 }
 
+// publishDupRuns numbers TestPublishDuplicatePanics's runs: the expvar
+// registry is process-wide, so a rerun under -count needs a fresh name.
+var publishDupRuns int
+
 // TestPublishDuplicatePanics pins the documented expvar contract:
 // publishing the same name twice panics (the standard registry has no
 // unregister), so callers must treat Publish as once-per-process.
 func TestPublishDuplicatePanics(t *testing.T) {
+	publishDupRuns++
+	name := fmt.Sprintf("export_test_dup_%d", publishDupRuns)
 	in := Instrument(barrier.New(1), Options{Name: "dup-test"})
-	in.Publish("export_test_dup") // first registration is fine
+	in.Publish(name) // first registration is fine
 	defer func() {
 		if recover() == nil {
 			t.Error("second Publish under the same name did not panic")
 		}
 	}()
-	in.Publish("export_test_dup")
+	in.Publish(name)
 }
 
 // TestSnapshotJSONRoundTripMerged merges two snapshots and checks the
