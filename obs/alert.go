@@ -39,6 +39,9 @@ const (
 	// crossed the configured threshold. Single-fire: the latch re-arms
 	// only after the ratio drops back under the threshold.
 	AlertModelDrift
+
+	// numAlertKinds counts the kinds above; exporters range up to it.
+	numAlertKinds
 )
 
 // alertKindNames are the wire labels, used for JSON and Prometheus.

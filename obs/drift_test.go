@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -175,6 +176,35 @@ func TestDriftStreamIntegration(t *testing.T) {
 	}
 	if len(delivered) < drift {
 		t.Errorf("OnAlert delivered %d alerts, want >= %d", len(delivered), drift)
+	}
+}
+
+// TestStreamPrometheusCountsModelDrift drives a stream with a firing
+// drift board and checks the Prometheus alert counter for every kind,
+// model_drift included, matches the JSON snapshot's Counts.
+func TestStreamPrometheusCountsModelDrift(t *testing.T) {
+	in := phasedBarrier(4)
+	board, err := NewDriftBoard(in, DriftConfig{Machine: toyMachine(1e9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStream(in, StreamOptions{Window: time.Hour, Drift: board})
+	runRounds(in, 40)
+	st.Rotate()
+	snap := st.Timeline()
+	if snap.Counts[AlertModelDrift.String()] == 0 {
+		t.Fatal("drift board raised no model_drift alert")
+	}
+	var b strings.Builder
+	if err := WriteStreamPrometheus(&b, snap); err != nil {
+		t.Fatal(err)
+	}
+	for kind := AlertRegimeShift; kind <= AlertModelDrift; kind++ {
+		want := fmt.Sprintf(`armbarrier_stream_alerts_total{barrier="optimized",kind="%s"} %d`+"\n",
+			kind, snap.Counts[kind.String()])
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }
 

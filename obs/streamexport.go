@@ -149,7 +149,7 @@ func WriteStreamPrometheus(w io.Writer, s StreamSnapshot) error {
 
 	fmt.Fprintf(&b, "# HELP armbarrier_stream_alerts_total Alerts raised by the streaming detectors.\n")
 	fmt.Fprintf(&b, "# TYPE armbarrier_stream_alerts_total counter\n")
-	for _, kind := range []AlertKind{AlertRegimeShift, AlertChangePoint, AlertStraggler, AlertStragglerCleared, AlertWatchdogStall} {
+	for kind := AlertKind(0); kind < numAlertKinds; kind++ {
 		fmt.Fprintf(&b, "armbarrier_stream_alerts_total{%s,kind=\"%s\"} %d\n", bl, kind, s.Counts[kind.String()])
 	}
 
