@@ -81,9 +81,9 @@ hier-smoke:
 	$(GO) run ./cmd/barrierbench -algos hier,dtour -plist 1024 \
 		-episodes 50 -repeats 1 -wait spinpark
 
-# Barrier fabric smoke: one quick joins/sec sweep through the CLI in
-# both engines (async CAS-arrival vs goroutine-per-waiter) so the
-# speedup line prints, then one -once pass of the fabric server
+# Barrier fabric smoke: one quick joins/sec sweep through the CLI (one
+# table row per shape, the async engine being the only one), then one
+# -once pass of the fabric server
 # example, which drives a burst of rounds and dumps the /debug/fabric
 # snapshot. Exercises group registry, async arrivals, batched wake-ups
 # and the sampled rollups end to end without the cost of the full

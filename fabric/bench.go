@@ -7,9 +7,8 @@ package fabric
 // Shape: G groups × P generator goroutines per group; every generator
 // performs exactly Episodes joins. The fixed per-generator episode
 // count is what makes teardown trivial — all P generators of a group
-// run the same count, so every round assembles completely and neither
-// engine is left holding a partial round (the parked engine would
-// otherwise strand goroutines on its inner barrier). Throughput is
+// run the same count, so every round assembles completely and no
+// group is left holding a partial round. Throughput is
 // total joins over wall time; join latency (Arrive to outcome receipt)
 // is sampled 1-in-SampleEvery per generator into per-generator local
 // histograms, merged after the run — the measurement itself adds no
@@ -26,8 +25,6 @@ import (
 
 // BenchConfig shapes one benchmark point.
 type BenchConfig struct {
-	// Mode is "async" or "parked".
-	Mode string
 	// Groups and Participants give the fleet shape: Groups independent
 	// groups of Participants each.
 	Groups, Participants int
@@ -42,7 +39,9 @@ type BenchConfig struct {
 	Fabric Config
 }
 
-// BenchPoint is one benchmark result row.
+// BenchPoint is one benchmark result row. Mode is always "async":
+// benchdiff keys rows by it, so the "parked" rows of older reports
+// match nothing.
 type BenchPoint struct {
 	Mode         string  `json:"mode"`
 	Groups       int     `json:"groups"`
@@ -62,15 +61,6 @@ func RunBench(cfg BenchConfig) (BenchPoint, error) {
 		return BenchPoint{}, fmt.Errorf("fabric: bench needs groups, participants, episodes >= 1 (got %d, %d, %d)",
 			cfg.Groups, cfg.Participants, cfg.Episodes)
 	}
-	parked := false
-	switch cfg.Mode {
-	case "async", "":
-		cfg.Mode = "async"
-	case "parked":
-		parked = true
-	default:
-		return BenchPoint{}, fmt.Errorf("fabric: bench mode %q (have async, parked)", cfg.Mode)
-	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 8
 	}
@@ -79,10 +69,7 @@ func RunBench(cfg BenchConfig) (BenchPoint, error) {
 
 	groups := make([]*Group, cfg.Groups)
 	for i := range groups {
-		g, err := f.Group(fmt.Sprintf("bench-%05d", i), GroupConfig{
-			Participants: cfg.Participants,
-			Parked:       parked,
-		})
+		g, err := f.Group(fmt.Sprintf("bench-%05d", i), GroupConfig{Participants: cfg.Participants})
 		if err != nil {
 			return BenchPoint{}, err
 		}
@@ -146,7 +133,7 @@ func RunBench(cfg BenchConfig) (BenchPoint, error) {
 	}
 	joins := uint64(gens) * uint64(cfg.Episodes)
 	pt := BenchPoint{
-		Mode:         cfg.Mode,
+		Mode:         "async",
 		Groups:       cfg.Groups,
 		Participants: cfg.Participants,
 		Episodes:     cfg.Episodes,

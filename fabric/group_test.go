@@ -27,9 +27,6 @@ func TestGroupCreateLookup(t *testing.T) {
 	if _, err := f.Group("a", GroupConfig{Participants: 5}); err == nil {
 		t.Fatal("participant mismatch accepted")
 	}
-	if _, err := f.Group("a", GroupConfig{Participants: 3, Parked: true}); err == nil {
-		t.Fatal("engine mismatch accepted")
-	}
 	if _, err := f.Group("bad", GroupConfig{}); err == nil {
 		t.Fatal("zero participants accepted")
 	}
@@ -110,15 +107,6 @@ func TestArriveAfterClose(t *testing.T) {
 	}
 	if o := recvOutcome(t, g2.Arrive(ctx)); !errors.Is(o.Err, ErrClosed) {
 		t.Fatalf("stale handle got %+v, want ErrClosed", o)
-	}
-
-	// Parked engine: queued arrivals drain with ErrClosed too (the
-	// budget bounds any waiter already inside the inner barrier).
-	pk, _ := f.Group("pk", GroupConfig{Participants: 2, Parked: true})
-	pkPending := pk.Arrive(ctx)
-	pk.Close()
-	if o := recvOutcome(t, pkPending); o.Err == nil {
-		t.Fatalf("parked pending arrival got %+v, want error", o)
 	}
 }
 
