@@ -19,8 +19,7 @@ type AlertKind uint8
 
 const (
 	// AlertRegimeShift fires when the confirmed regime flips (e.g.
-	// dedicated -> oversubscribed), after DetectorOptions.RegimeConfirm
-	// agreeing windows.
+	// dedicated -> oversubscribed), after two agreeing windows.
 	AlertRegimeShift AlertKind = iota
 	// AlertChangePoint fires when Page-Hinkley detects a sustained
 	// level shift in a watched metric (wait_p99_ns or skew_mean_ns).

@@ -15,40 +15,43 @@ import (
 // corresponding alerts (alert.go). All state is owned by the stream's
 // rotation lock; nothing here runs on the Wait hot path.
 
-// DetectorOptions tunes the online detectors. Zero fields take the
+// Detector constants.
+const (
+	// parksPerRound is the park pressure (parks per participant-round)
+	// at or above which a window classifies as oversubscribed: parking
+	// only happens when spinning lost its core.
+	parksPerRound = 0.2
+	// yieldsPerRound is the yield pressure (scheduler yields per
+	// participant-round) at or above which a window classifies as
+	// oversubscribed even without parking — the spin-yield policy's
+	// signature when waiters outnumber cores.
+	yieldsPerRound = 8
+	// regimeConfirm is how many consecutive windows must agree before
+	// the confirmed regime flips (and AlertRegimeShift fires); the
+	// hysteresis that keeps a single noisy window from flapping the
+	// classification.
+	regimeConfirm = 2
+
+	// changeDelta and changeLambda tune the Page-Hinkley change-point
+	// detectors watching log10(p99 wait) and log10(mean skew): drifts
+	// below changeDelta decades are tolerated, an accumulated drift of
+	// changeLambda decades alarms. Sustained shifts of roughly 1.5x and
+	// up alarm within a few windows, stationary noise of ±12% never
+	// does.
+	changeDelta  = 0.05
+	changeLambda = 0.6
+	// changeMinSamples windows must pass before a change-point may
+	// alarm (baseline warm-up).
+	changeMinSamples = 3
+	// holddownWindows suppresses repeat alerts of the same kind (and
+	// metric) for this many windows after one fires.
+	holddownWindows = 5
+)
+
+// DetectorOptions tunes the straggler detector. Zero fields take the
 // documented defaults, so StreamOptions{} gets a sensible production
 // configuration.
 type DetectorOptions struct {
-	// ParksPerRound is the park pressure (parks per participant-round)
-	// at or above which a window classifies as oversubscribed: parking
-	// only happens when spinning lost its core. Default 0.2.
-	ParksPerRound float64
-	// YieldsPerRound is the yield pressure (scheduler yields per
-	// participant-round) at or above which a window classifies as
-	// oversubscribed even without parking — the spin-yield policy's
-	// signature when waiters outnumber cores. Default 8.
-	YieldsPerRound float64
-	// RegimeConfirm is how many consecutive windows must agree before
-	// the confirmed regime flips (and AlertRegimeShift fires); the
-	// hysteresis that keeps a single noisy window from flapping the
-	// classification. Default 2.
-	RegimeConfirm int
-
-	// ChangeDelta and ChangeLambda tune the Page-Hinkley change-point
-	// detectors watching log10(p99 wait) and log10(mean skew): drifts
-	// below Delta decades are tolerated, an accumulated drift of
-	// Lambda decades alarms. Defaults 0.05 and 0.6 — sustained shifts
-	// of roughly 1.5x and up alarm within a few windows, stationary
-	// noise of ±12% never does.
-	ChangeDelta  float64
-	ChangeLambda float64
-	// ChangeMinSamples windows must pass before a change-point may
-	// alarm (baseline warm-up). Default 3.
-	ChangeMinSamples int
-	// HolddownWindows suppresses repeat alerts of the same kind (and
-	// metric) for this many windows after one fires. Default 5.
-	HolddownWindows int
-
 	// StragglerFactor: a participant is slow in a window when its mean
 	// arrival offset exceeds this factor times the other participants'
 	// median offset. Default 4.
@@ -65,27 +68,6 @@ type DetectorOptions struct {
 
 // withDefaults fills zero fields.
 func (o DetectorOptions) withDefaults() DetectorOptions {
-	if o.ParksPerRound <= 0 {
-		o.ParksPerRound = 0.2
-	}
-	if o.YieldsPerRound <= 0 {
-		o.YieldsPerRound = 8
-	}
-	if o.RegimeConfirm <= 0 {
-		o.RegimeConfirm = 2
-	}
-	if o.ChangeDelta <= 0 {
-		o.ChangeDelta = 0.05
-	}
-	if o.ChangeLambda <= 0 {
-		o.ChangeLambda = 0.6
-	}
-	if o.ChangeMinSamples <= 0 {
-		o.ChangeMinSamples = 3
-	}
-	if o.HolddownWindows <= 0 {
-		o.HolddownWindows = 5
-	}
 	if o.StragglerFactor <= 0 {
 		o.StragglerFactor = 4
 	}
@@ -131,13 +113,12 @@ type detectors struct {
 
 // newDetectors builds the detector state.
 func newDetectors(opts DetectorOptions) detectors {
-	o := opts.withDefaults()
 	return detectors{
-		opts:      o,
+		opts:      opts.withDefaults(),
 		regime:    tune.RegimeUnknown,
 		pending:   tune.RegimeUnknown,
-		p99:       stats.PageHinkley{Delta: o.ChangeDelta, Lambda: o.ChangeLambda, MinSamples: o.ChangeMinSamples},
-		skew:      stats.PageHinkley{Delta: o.ChangeDelta, Lambda: o.ChangeLambda, MinSamples: o.ChangeMinSamples},
+		p99:       stats.PageHinkley{Delta: changeDelta, Lambda: changeLambda, MinSamples: changeMinSamples},
+		skew:      stats.PageHinkley{Delta: changeDelta, Lambda: changeLambda, MinSamples: changeMinSamples},
 		p99Smooth: stats.NewEWMA(0.3),
 		straggler: -1,
 	}
@@ -149,7 +130,7 @@ func (d *detectors) classify(w *WindowStats) tune.Regime {
 	if w.Rounds == 0 {
 		return tune.RegimeUnknown
 	}
-	if w.ParksPerRound >= d.opts.ParksPerRound || w.YieldsPerRound >= d.opts.YieldsPerRound {
+	if w.ParksPerRound >= parksPerRound || w.YieldsPerRound >= yieldsPerRound {
 		return tune.RegimeOversubscribed
 	}
 	return tune.RegimeDedicated
@@ -171,7 +152,7 @@ func (d *detectors) observe(w *WindowStats, participants int, offsets []float64)
 				d.pending, d.streak = raw, 0
 			}
 			d.streak++
-			if d.streak >= d.opts.RegimeConfirm || d.regime == tune.RegimeUnknown {
+			if d.streak >= regimeConfirm || d.regime == tune.RegimeUnknown {
 				old := d.regime
 				d.regime = raw
 				d.pending, d.streak = tune.RegimeUnknown, 0
@@ -212,7 +193,7 @@ func (d *detectors) observe(w *WindowStats, participants int, offsets []float64)
 
 	// 4. Watchdog stalls surface as alerts too, with the same holddown.
 	if w.WatchdogStalls > 0 && w.Index >= d.holdStall {
-		d.holdStall = w.Index + uint64(d.opts.HolddownWindows)
+		d.holdStall = w.Index + holddownWindows
 		fired = append(fired, Alert{
 			Kind:        AlertWatchdogStall,
 			Window:      w.Index,
@@ -238,7 +219,7 @@ func (d *detectors) changePoint(ph *stats.PageHinkley, hold *uint64, w *WindowSt
 	if w.Index < *hold {
 		return Alert{}, false
 	}
-	*hold = w.Index + uint64(d.opts.HolddownWindows)
+	*hold = w.Index + holddownWindows
 	return Alert{
 		Kind:        AlertChangePoint,
 		Window:      w.Index,

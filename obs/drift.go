@@ -29,15 +29,19 @@ import (
 	"armbarrier/topology"
 )
 
-// Drift defaults. The threshold is a multiplicative ratio: 4 means the
-// alert fires when a phase is running 4x slower (or faster) than the
-// model predicts, sustained through the EWMA — generous enough that an
+// Drift constants. driftThreshold is the measured/predicted ratio that
+// counts as divergence: 4 means the alert fires when a phase is running
+// 4x slower (or faster — the model is wrong either way) than the model
+// predicts, sustained through the EWMA. That is generous enough that an
 // honest calibration never trips it, tight enough that a delayed
-// participant or an oversubscribed host does.
+// participant or an oversubscribed host does. driftEwmaAlpha smooths
+// the per-phase log2 ratio across observation windows. driftMinSamples
+// is how many probe marks a (phase, level) cell needs in a window
+// before it participates in ratios and the α fit.
 const (
-	DefaultDriftThreshold  = 4.0
-	DefaultDriftEwmaAlpha  = 0.5
-	DefaultDriftMinSamples = 4
+	driftThreshold  = 4.0
+	driftEwmaAlpha  = 0.5
+	driftMinSamples = 4
 )
 
 // DriftConfig configures NewDriftBoard. The zero value works: machine
@@ -53,18 +57,6 @@ type DriftConfig struct {
 	// Schedule() []int method) and otherwise derives the uniform
 	// fan-in consistent with the barrier's arrival level count.
 	Schedule []int
-	// Threshold is the measured/predicted ratio that counts as
-	// divergence (default DefaultDriftThreshold). The comparison is
-	// two-sided: a phase running Threshold-times faster than predicted
-	// also diverges (the model is wrong either way).
-	Threshold float64
-	// EwmaAlpha smooths the per-phase log2 ratio across observation
-	// windows (default DefaultDriftEwmaAlpha); higher reacts faster.
-	EwmaAlpha float64
-	// MinSamples is how many probe marks a (phase, level) cell needs
-	// in a window before it participates in ratios and the α fit
-	// (default DefaultDriftMinSamples).
-	MinSamples uint64
 	// Phases restricts which phases are judged for divergence alerts
 	// (nil watches both). The scoreboard still reports all levels.
 	Phases []barrier.Phase
@@ -79,7 +71,7 @@ type DriftLevel struct {
 	// Samples counts the window's probe marks in this cell.
 	Samples uint64 `json:"samples"`
 	// MeasuredNs is the window's mean step cost (NaN when the cell has
-	// fewer than MinSamples this window). The mean, not the median, on
+	// fewer than driftMinSamples marks this window). The mean, not the median, on
 	// purpose: the model prices expected cost, and a median would
 	// average away a single delayed participant — the precise signal a
 	// drift scoreboard exists to surface.
@@ -245,8 +237,6 @@ type DriftBoard struct {
 	contention float64
 	fanIn      []int     // per arrival level
 	pred       []float64 // per cell, arrival levels then wake-up levels
-	log2Thr    float64
-	minSamples uint64
 	watch      [barrier.NumPhases]bool
 
 	mu     sync.Mutex
@@ -266,23 +256,12 @@ func NewDriftBoard(in *Instrumented, cfg DriftConfig) (*DriftBoard, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = topology.Kunpeng920()
 	}
-	if cfg.Threshold <= 1 {
-		cfg.Threshold = DefaultDriftThreshold
-	}
-	if cfg.EwmaAlpha <= 0 || cfg.EwmaAlpha > 1 {
-		cfg.EwmaAlpha = DefaultDriftEwmaAlpha
-	}
-	if cfg.MinSamples == 0 {
-		cfg.MinSamples = DefaultDriftMinSamples
-	}
 	arr, wake := in.phases.arrLevels, in.phases.wakeLevels
 	d := &DriftBoard{
 		in:         in,
 		machine:    cfg.Machine,
 		latencyNs:  cfg.Machine.MaxLatency(),
 		contention: cfg.Machine.ReadContention,
-		log2Thr:    math.Log2(cfg.Threshold),
-		minSamples: cfg.MinSamples,
 	}
 	d.fanIn = driftFanIns(cfg.Schedule, in, arr)
 	d.pred = d.predictions(arr, wake)
@@ -298,7 +277,7 @@ func NewDriftBoard(in *Instrumented, cfg DriftConfig) (*DriftBoard, error) {
 		}
 	}
 	for ph := range d.ewma {
-		d.ewma[ph] = stats.NewEWMA(cfg.EwmaAlpha)
+		d.ewma[ph] = stats.NewEWMA(driftEwmaAlpha)
 	}
 	d.last = DriftSnapshot{
 		Barrier:     in.Name(),
@@ -397,7 +376,7 @@ func (d *DriftBoard) Observe() []Alert {
 		if l.Phase == barrier.PhaseArrival.String() {
 			row.FanIn = d.fanIn[l.Level]
 		}
-		if l.Samples >= d.minSamples {
+		if l.Samples >= driftMinSamples {
 			row.MeasuredNs = float64(l.SumNs) / float64(l.Samples)
 			if row.PredictedNs > 0 {
 				row.Ratio = row.MeasuredNs / row.PredictedNs
@@ -439,7 +418,7 @@ func (d *DriftBoard) Observe() []Alert {
 		}
 		if d.ewma[ph].Count() > 0 {
 			dp.EwmaLog2 = d.ewma[ph].Value()
-			dp.Diverged = math.Abs(dp.EwmaLog2) >= d.log2Thr
+			dp.Diverged = math.Abs(dp.EwmaLog2) >= math.Log2(driftThreshold)
 		}
 		if d.watch[ph] {
 			switch {
@@ -457,7 +436,7 @@ func (d *DriftBoard) Observe() []Alert {
 					Message: fmt.Sprintf(
 						"%s phase diverges from model: measured %.0f ns vs predicted %.0f ns (x%.2f, ewma x%.2f over threshold x%.1f)",
 						name, dp.MeasuredNs, dp.PredictedNs, dp.Ratio,
-						math.Exp2(dp.EwmaLog2), math.Exp2(d.log2Thr)),
+						math.Exp2(dp.EwmaLog2), driftThreshold),
 				}
 				fired = append(fired, a)
 				d.alerts = append(d.alerts, a)

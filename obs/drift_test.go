@@ -70,7 +70,7 @@ func TestDriftScoreboardShape(t *testing.T) {
 		if l.Phase == "arrival" && l.FanIn < 2 {
 			t.Errorf("arrival L%d: fan-in %d, want >= 2", l.Level, l.FanIn)
 		}
-		if l.Samples >= DefaultDriftMinSamples && math.IsNaN(l.MeasuredNs) {
+		if l.Samples >= driftMinSamples && math.IsNaN(l.MeasuredNs) {
 			t.Errorf("%s L%d: %d samples but NaN measurement", l.Phase, l.Level, l.Samples)
 		}
 	}

@@ -24,11 +24,12 @@ import (
 // promContentType is the Prometheus text exposition content type.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
+// labelEscaper is shared by every scrape: a Replacer is safe for
+// concurrent use.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // escapeLabel escapes a Prometheus label value.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // WritePrometheus writes the snapshot in Prometheus text exposition
 // format. Metric families:

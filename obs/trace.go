@@ -19,7 +19,6 @@ package obs
 import (
 	"context"
 	"math"
-	"math/bits"
 	"runtime/pprof"
 	"runtime/trace"
 	"sort"
@@ -40,14 +39,13 @@ const DefaultSkewQuantile = 0.99
 // not: the worst episodes by SeverityNs are retained.
 const DefaultMaxEpisodes = 16
 
-// DefaultRingRounds is the default per-participant ring capacity in
-// sampled rounds.
-const DefaultRingRounds = 64
-
 const (
-	// minRingRounds keeps the promotion read (one round after the
-	// stamps) safely ahead of ring reuse even at SampleEvery 1.
-	minRingRounds = 4
+	// ringRounds is the per-participant ring capacity in sampled
+	// rounds, a power of two so a round maps to its slot by masking.
+	// It keeps the promotion read (one round after the stamps) far
+	// ahead of ring reuse even at SampleEvery 1.
+	ringRounds = 64
+	ringMask   = ringRounds - 1
 	// quantileMinRounds is the warm-up before the trailing-quantile
 	// trigger arms: too few skew rounds make the quantile meaningless.
 	quantileMinRounds = 32
@@ -76,10 +74,6 @@ type TraceOptions struct {
 	// MaxEpisodes bounds the kept episodes (default DefaultMaxEpisodes);
 	// when full, a new capture evicts the least severe kept episode.
 	MaxEpisodes int
-	// RingRounds is the per-participant ring capacity in sampled rounds
-	// (default DefaultRingRounds, minimum minRingRounds, rounded up to
-	// a power of two).
-	RingRounds int
 	// RuntimeTrace emits a runtime/trace region around each sampled
 	// Wait (under a task named after the barrier) whenever a Go
 	// execution trace is being collected, so captured episodes line up
@@ -127,8 +121,7 @@ type Tracer struct {
 	// rings[id] is participant id's single-writer ring, one slot per
 	// sampled round. Each participant's slots are a separate allocation
 	// (multiple cachelines long), so writers never share a line.
-	rings    [][]traceSlot
-	ringMask uint64
+	rings [][]traceSlot
 
 	skewThreshNs int64
 	maxWaitNs    int64
@@ -159,17 +152,8 @@ type Tracer struct {
 // Instrument, it must be called before any participant uses b.
 func Trace(b barrier.Barrier, opts TraceOptions) *Tracer {
 	in := Instrument(b, opts.Options)
-	ring := opts.RingRounds
-	if ring <= 0 {
-		ring = DefaultRingRounds
-	}
-	if ring < minRingRounds {
-		ring = minRingRounds
-	}
-	ring = 1 << bits.Len64(uint64(ring-1)) // round up to a power of two
 	t := &Tracer{
 		Instrumented: in,
-		ringMask:     uint64(ring - 1),
 		skewThreshNs: opts.SkewThresholdNs,
 		maxWaitNs:    opts.MaxWaitThresholdNs,
 		quantile:     opts.SkewQuantile,
@@ -186,7 +170,7 @@ func Trace(b barrier.Barrier, opts TraceOptions) *Tracer {
 	}
 	t.rings = make([][]traceSlot, in.p)
 	for i := range t.rings {
-		t.rings[i] = make([]traceSlot, ring)
+		t.rings[i] = make([]traceSlot, ringRounds)
 		if in.phases != nil {
 			for k := range t.rings[i] {
 				t.rings[i][k].marks = make([]traceMark, in.phases.stride)
@@ -221,7 +205,7 @@ func (t *Tracer) Wait(id int) {
 // with the same clock read the histogram uses) and opens a
 // runtime/trace region when enabled and a trace is being collected.
 func (t *Tracer) arrive(id int, k uint64, ns int64) traceRegion {
-	t.rings[id][k&t.ringMask].arrive.Store(ns)
+	t.rings[id][k&ringMask].arrive.Store(ns)
 	if t.runtimeTrace && trace.IsEnabled() {
 		return traceRegion{trace.StartRegion(t.ctx, "barrier.Wait")}
 	}
@@ -232,7 +216,7 @@ func (t *Tracer) arrive(id int, k uint64, ns int64) traceRegion {
 // copies the round's probe marks from the recorder's owner-only
 // scratch into the ring (same single-writer ordering as the stamps).
 func (t *Tracer) release(id int, k uint64, ns int64) {
-	slot := &t.rings[id][k&t.ringMask]
+	slot := &t.rings[id][k&ringMask]
 	slot.release.Store(ns)
 	if t.phases != nil && slot.marks != nil {
 		sh := &t.phases.shards[id]
@@ -255,7 +239,7 @@ func (t *Tracer) release(id int, k uint64, ns int64) {
 // at the next round, which (through the barrier's own synchronization)
 // orders all of round k's stamps before this read.
 func (t *Tracer) evaluate(k uint64) {
-	slot := k & t.ringMask
+	slot := k & ringMask
 	first, last := int64(math.MaxInt64), int64(math.MinInt64)
 	maxWait := int64(0)
 	for i := range t.rings {
