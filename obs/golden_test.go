@@ -17,8 +17,8 @@ import (
 // testdata/*.prom goldens. Every snapshot below is built by hand, with
 // no clock or scheduler in it, so the expected text is exact: a change
 // to a writer's families, HELP lines, label order or number spelling
-// shows up as a golden diff. The barrier names carry a quote and a
-// backslash so the label escaping is pinned too.
+// shows up as a golden diff. The barrier names carry quotes, and one a
+// backslash, so the label escaping is pinned too.
 
 // goldenHist is a NumBuckets histogram with the given counts set.
 func goldenHist(counts map[int]uint64) []uint64 {
@@ -160,22 +160,23 @@ func TestPrometheusGoldens(t *testing.T) {
 // lineDiff lists the lines only one side has, in order; enough to
 // read a golden mismatch without a diff tool.
 func lineDiff(want, got string) string {
-	count := func(s string) map[string]int {
-		m := map[string]int{}
-		for _, l := range strings.Split(s, "\n") {
-			m[l]++
+	wantLines, gotLines := strings.Split(want, "\n"), strings.Split(got, "\n")
+	set := func(lines []string) map[string]bool {
+		m := make(map[string]bool, len(lines))
+		for _, l := range lines {
+			m[l] = true
 		}
 		return m
 	}
-	inWant, inGot := count(want), count(got)
+	inWant, inGot := set(wantLines), set(gotLines)
 	var b strings.Builder
-	for _, l := range strings.Split(want, "\n") {
-		if inGot[l] == 0 {
+	for _, l := range wantLines {
+		if !inGot[l] {
 			b.WriteString("- " + l + "\n")
 		}
 	}
-	for _, l := range strings.Split(got, "\n") {
-		if inWant[l] == 0 {
+	for _, l := range gotLines {
+		if !inWant[l] {
 			b.WriteString("+ " + l + "\n")
 		}
 	}
